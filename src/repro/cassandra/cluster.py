@@ -13,7 +13,8 @@ N-node protocol test; :class:`Mode` makes them explicit:
   sleeps by a PIL executor (:mod:`repro.core.pil`).
 
 A :class:`Cluster` owns the simulator, network, nodes, and metric sinks and
-produces a :class:`~repro.cassandra.metrics.RunReport` when asked.
+produces a :class:`~repro.cassandra.metrics.RunReport` when asked, through
+:func:`assemble_report` -- which partitioned runs share.
 """
 
 from __future__ import annotations
@@ -21,16 +22,21 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Any, Collection, Dict, List, Optional
 
 from ..sim.cpu import CpuModel, DedicatedCpu, SharedCpu
 from ..sim.kernel import Simulator
 from ..sim.memory import GB, MachineMemory, NodeMemoryProfile, OutOfMemoryError, single_process_profile
-from ..obs.doctor import stage_lateness
+from ..obs.doctor import (
+    CALC_STAGE_QUEUE,
+    CPU_CONTENTION,
+    GOSSIP_STAGE_QUEUE,
+    RING_LOCK,
+)
 from ..sim.network import LatencyModel, Network, OrderEnforcer
 from .bugs import BugConfig, get_bug
 from .gossip import GossipConfig
-from .metrics import CalcRecord, FlapCounter, RunReport
+from .metrics import CalcRecord, FlapCounter, FlapEvent, RunReport
 from .node import (
     CalcExecutor,
     DirectExecutor,
@@ -39,6 +45,7 @@ from .node import (
     SharedOutputCache,
 )
 from .pending_ranges import CostConstants
+from .state import STATUS, STATUS_NORMAL, TOKENS
 from .tokens import tokens_for_node
 
 
@@ -111,6 +118,122 @@ class ClusterConfig:
 def node_name(index: int) -> str:
     """Canonical node id for ``index`` (``node-007`` style)."""
     return f"node-{index:03d}"
+
+
+def phantom_blob(node_id: str, vnodes: int) -> tuple:
+    """The gossip blob of an established-NORMAL peer a cluster does not host.
+
+    Bit-identical to ``own_state.to_blob()`` after
+    :meth:`~repro.cassandra.node.Node.establish_normal` on a fresh node:
+    generation 1, heartbeat version 0, TOKENS published at version 1 and
+    STATUS NORMAL at version 2 (``tests/test_partition_determinism.py``
+    pins the match).
+    """
+    tokens = tuple(tokens_for_node(node_id, vnodes))
+    return (1, 0, ((STATUS, STATUS_NORMAL, 2, None),
+                   (TOKENS, "", 1, tokens)))
+
+
+#: RunReport field -> the ``Network`` counter it reports.
+_TRAFFIC_FIELDS = {
+    "messages_sent": "sent", "messages_delivered": "delivered",
+    "messages_dropped": "dropped", "dropped_down": "dropped_down",
+    "dropped_cut": "dropped_cut", "dropped_unknown_dst": "dropped_unknown_dst",
+    "dropped_degraded": "dropped_degraded"}
+
+
+@dataclass
+class ReportParts:
+    """The raw figures a :class:`RunReport` is assembled from (picklable).
+
+    One cluster yields one (:meth:`Cluster.report_parts`).  A partitioned
+    run's shards each ship theirs; the coordinator merges them -- rows
+    sorted by node -- and assembles the same way.
+    """
+
+    duration: float
+    recoveries: int
+    flap_events: List[FlapEvent]
+    calc_records: List[CalcRecord]
+    #: RunReport traffic field (messages_sent, dropped_cut, ...) -> count.
+    traffic: Dict[str, int]
+    #: One row per node (see :func:`node_row`), in reduction order.
+    rows: List[Dict[str, Any]]
+
+
+def node_row(node: Node) -> Dict[str, Any]:
+    """One node's figures: its CPU's and its stage queues' and ring lock's."""
+    cpu = node.cpu
+    has_stretch = (getattr(cpu, "completed_jobs", 0) > 0
+                   and hasattr(cpu, "mean_stretch"))
+    return {
+        "node": node.node_id,
+        "cpu": cpu.name,
+        "utilization": cpu.utilization(),
+        "peak_utilization": getattr(cpu, "peak_utilization", 0.0),
+        "stretch": cpu.mean_stretch() if has_stretch else None,
+        "cpu_contention": getattr(cpu, "contention_seconds", 0.0),
+        "inbox_max_wait": node.inbox.max_wait,
+        "inbox_mean_wait": node.inbox.mean_wait(),
+        "inbox_total_wait": node.inbox.total_wait,
+        "calcq_total_wait": node.calc_queue.total_wait,
+        "ring_total_wait": node.ring_lock.total_wait,
+        "ring_max_hold": node.ring_lock.max_hold,
+        "ring_max_wait": node.ring_lock.max_wait,
+    }
+
+
+def assemble_report(config: ClusterConfig, parts: ReportParts,
+                    observe_from: float = 0.0, **fields) -> RunReport:
+    """Build the :class:`RunReport` of ``parts``; ``fields`` sets the rest.
+
+    Every reduction runs in row order, so float sums depend only on that
+    order.  ``observe_from`` excludes warm-up flaps and calculations (before
+    the protocol under test started) from the report.
+    """
+    rows = parts.rows
+    # Colocated nodes share one CPU: reduce over distinct CPUs, by name.
+    cpus = list({row["cpu"]: row for row in rows}.values())
+    # A DieCast run reports no utilization or stretch: its dilated CPUs are
+    # neither the real testbed's nor one shared machine.
+    utilized = [] if config.mode is Mode.DIECAST else cpus
+    stretches = [row["stretch"] for row in utilized
+                 if row["stretch"] is not None]
+    mean_waits = [row["inbox_mean_wait"] for row in rows]
+    events = [e for e in parts.flap_events if e.time >= observe_from]
+    return RunReport(
+        mode=config.mode.value,
+        bug=config.bug.bug_id,
+        nodes=config.nodes,
+        vnodes=config.bug.vnodes,
+        duration=parts.duration,
+        flaps=len(events),
+        recoveries=parts.recoveries,
+        flap_events=events,
+        calc_records=[r for r in parts.calc_records
+                      if r.time >= observe_from],
+        **parts.traffic,
+        cpu_utilization=max((row["utilization"] for row in utilized),
+                            default=0.0),
+        cpu_peak_utilization=max((row["peak_utilization"]
+                                  for row in utilized), default=0.0),
+        mean_stretch=(sum(stretches) / len(stretches)) if stretches else 1.0,
+        max_stage_wait=max((row["inbox_max_wait"] for row in rows),
+                           default=0.0),
+        mean_stage_wait=(sum(mean_waits) / len(mean_waits))
+        if mean_waits else 0.0,
+        lock_max_hold=max((row["ring_max_hold"] for row in rows),
+                          default=0.0),
+        lock_max_wait=max((row["ring_max_wait"] for row in rows),
+                          default=0.0),
+        stage_lateness={
+            GOSSIP_STAGE_QUEUE: sum(row["inbox_total_wait"] for row in rows),
+            CALC_STAGE_QUEUE: sum(row["calcq_total_wait"] for row in rows),
+            RING_LOCK: sum(row["ring_total_wait"] for row in rows),
+            CPU_CONTENTION: sum(row["cpu_contention"] for row in cpus),
+        },
+        **fields,
+    )
 
 
 class Cluster:
@@ -237,29 +360,37 @@ class Cluster:
         node.start()
         return True
 
-    def build_established(self) -> None:
+    def build_established(self,
+                          hosted: Optional[Collection[str]] = None) -> None:
         """Create the initial N nodes as an established, converged cluster.
 
         Every node already knows every other node's NORMAL state -- the
         long-running-cluster starting point of the decommission and
         scale-out scenarios.  Population goes through the normal state-
         application path so ring tables and failure detectors are primed.
+
+        ``hosted`` builds only those nodes (a partitioned run's shard);
+        they learn every other peer from its :func:`phantom_blob`.
         """
         names = [node_name(i) for i in range(self.config.nodes)]
-        for name in names:
+        local = names if hosted is None else [n for n in names if n in hosted]
+        for name in local:
             self.add_node(name)
-        for name in names:
+        for name in local:
             self.nodes[name].establish_normal()
+        vnodes = self.config.bug.vnodes
         blobs = {
-            name: self.nodes[name].gossiper.own_state.to_blob() for name in names
+            name: (self.nodes[name].gossiper.own_state.to_blob()
+                   if name in self.nodes else phantom_blob(name, vnodes))
+            for name in names
         }
-        for name in names:
+        for name in local:
             node = self.nodes[name]
             for other, blob in blobs.items():
                 if other != name:
                     node.gossiper.populate(other, blob)
             node._ring_dirty = False  # population is not a topology change
-        for name in names:
+        for name in local:
             self.start_node(self.nodes[name])
 
     def build_unjoined(self) -> None:
@@ -331,63 +462,34 @@ class Cluster:
 
     # -- reporting ---------------------------------------------------------------------
 
+    def report_parts(self) -> ReportParts:
+        """This cluster's raw report figures (rows in ``nodes`` order)."""
+        return ReportParts(
+            duration=self.sim.now,
+            recoveries=self.flaps.recoveries,
+            flap_events=list(self.flaps.flaps),
+            calc_records=list(self.calc_records),
+            traffic={name: getattr(self.network, counter)
+                     for name, counter in _TRAFFIC_FIELDS.items()},
+            rows=[node_row(node) for node in self.nodes.values()],
+        )
+
     def report(self, observe_from: float = 0.0) -> RunReport:
         """Snapshot all metrics into a :class:`RunReport`.
 
         ``observe_from`` excludes warm-up flaps (before the protocol under
         test started) from the headline count.
         """
-        events = [e for e in self.flaps.flaps if e.time >= observe_from]
-        cpus: List[CpuModel] = []
-        if self.config.mode is Mode.REAL:
-            cpus = [n.cpu for n in self.nodes.values()]
-        elif self._shared_cpu is not None:
-            cpus = [self._shared_cpu]
-        util = max((c.utilization() for c in cpus), default=0.0)
-        peak = max(
-            (getattr(c, "peak_utilization", 0.0) for c in cpus), default=0.0
-        )
-        stretches = [
-            c.mean_stretch() for c in cpus
-            if getattr(c, "completed_jobs", 0) > 0 and hasattr(c, "mean_stretch")
-        ]
-        stage_waits = [n.inbox.max_wait for n in self.nodes.values()]
-        mean_waits = [n.inbox.mean_wait() for n in self.nodes.values()]
-        lock_holds = [n.ring_lock.max_hold for n in self.nodes.values()]
-        lock_waits = [n.ring_lock.max_wait for n in self.nodes.values()]
         memo_stats = getattr(self.executor, "stats", lambda: {})()
-        report = RunReport(
-            mode=self.config.mode.value,
-            bug=self.config.bug.bug_id,
-            nodes=self.config.nodes,
-            vnodes=self.config.bug.vnodes,
-            duration=self.sim.now,
-            flaps=len(events),
-            recoveries=self.flaps.recoveries,
-            flap_events=events,
-            calc_records=[r for r in self.calc_records if r.time >= observe_from],
-            messages_sent=self.network.sent,
-            messages_delivered=self.network.delivered,
-            messages_dropped=self.network.dropped,
-            dropped_down=self.network.dropped_down,
-            dropped_cut=self.network.dropped_cut,
-            dropped_unknown_dst=self.network.dropped_unknown_dst,
-            dropped_degraded=self.network.dropped_degraded,
-            cpu_utilization=util,
-            cpu_peak_utilization=peak,
-            mean_stretch=(sum(stretches) / len(stretches)) if stretches else 1.0,
-            max_stage_wait=max(stage_waits, default=0.0),
-            mean_stage_wait=(sum(mean_waits) / len(mean_waits)) if mean_waits else 0.0,
+        report = assemble_report(
+            self.config, self.report_parts(), observe_from,
             memory_peak_bytes=self.memory.peak if self.memory else 0,
             oom_count=len(self.crashed_for_oom),
-            lock_max_hold=max(lock_holds, default=0.0),
-            lock_max_wait=max(lock_waits, default=0.0),
             wall_seconds=(_time.perf_counter() - self._wall_started
                           if self._wall_started else 0.0),
             memo_hits=int(memo_stats.get("hits", 0)),
             memo_misses=int(memo_stats.get("misses", 0)),
             memo_conflicts=int(memo_stats.get("conflicts", 0)),
-            stage_lateness=stage_lateness(self),
         )
         if self.op_started_at is not None:
             # Protocol completion time: the DES analogue of the paper's

@@ -9,6 +9,10 @@ with any K -- including K=1, the serial baseline -- and with any worker
 count produces a byte-identical canonical :class:`~repro.cassandra.metrics.
 RunReport` (``tests/test_partition_determinism.py`` pins it).
 
+Each shard is a classic :class:`~repro.cassandra.cluster.Cluster` running
+the classic builder, :mod:`~repro.cassandra.workloads` drivers,
+:mod:`repro.faults` primitives and report assembler.
+
 What makes K-invariance hold:
 
 * Node ``i`` lives in shard ``i % K``; every per-node random stream is
@@ -19,13 +23,13 @@ What makes K-invariance hold:
   canonical ``(arrival, dst, key)`` injection order at every barrier.
 * Each shard builds only its own nodes but seeds them with *phantom
   blobs* for remote peers -- bit-identical to the blob an established
-  local node publishes, which :func:`phantom_blob`'s test pins.
-* Chaos operations are quantized to the next barrier and applied in a
-  fixed order in every shard (fabric state is replicated; node stop/
+  local node publishes (:func:`~repro.cassandra.cluster.phantom_blob`).
+* Faults are quantized to the next barrier and applied in the injector's
+  timeline order in every shard (fabric state is replicated; node stop/
   restart happens in the owning shard only).
-* The merged report is assembled in global sorted-node order regardless
-  of K, so float accumulation order -- the usual parallel-reduction
-  leak -- is fixed.
+* The merged report is assembled from per-node rows in global sorted-node
+  order regardless of K, so float accumulation order -- the usual
+  parallel-reduction leak -- is fixed.
 
 Compared to the classic :class:`~repro.cassandra.cluster.Cluster` runner,
 two semantics differ (deliberately, identically for every K): message
@@ -37,44 +41,36 @@ therefore compared against other partitioned reports, not classic ones.
 from __future__ import annotations
 
 import time as _time
+import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence
 
-from ..obs.doctor import (
-    CALC_STAGE_QUEUE,
-    CPU_CONTENTION,
-    GOSSIP_STAGE_QUEUE,
-    RING_LOCK,
+from ..faults.injector import ClusterFaultTarget, Injector
+from ..faults.primitives import (
+    Heal,
+    LinkDegrade,
+    NodeCrash,
+    NodeRestart,
+    PartitionCut,
 )
+from ..faults.schedule import FaultSchedule
 from ..sim.kernel import Timeout
 from ..sim.network import LatencyModel
 from ..sim.partition import Flight, ShardFabric, fork_context
-from .bugs import get_bug
-from .cluster import Cluster, ClusterConfig, Mode, node_name
-from .metrics import CalcRecord, FlapEvent, RunReport
-from .state import STATUS, STATUS_BOOT, STATUS_LEAVING, STATUS_LEFT, STATUS_NORMAL, TOKENS
-from .tokens import tokens_for_node
+from .cluster import (
+    Cluster,
+    ClusterConfig,
+    Mode,
+    ReportParts,
+    assemble_report,
+    node_name,
+)
+from .metrics import RunReport
+from .workloads import ScenarioParams, _decommission_driver, _join_driver
 
-#: Chaos kinds whose node-side effect runs only in the owning shard.
-_NODE_OPS = frozenset({"crash", "restart"})
-
-
-@dataclass(frozen=True)
-class ChaosOp:
-    """One fault operation, quantized to the first barrier at/after ``time``.
-
-    Kinds and ``args``:
-
-    * ``"partition"``: ``(side_a, side_b)`` -- node-name tuples to cut.
-    * ``"heal"``: ``()`` -- clear every cut.
-    * ``"degrade"``: ``(src, dst, drop_p, latency_mult)`` with
-      ``latency_mult >= 1``.
-    * ``"crash"`` / ``"restart"``: ``(node_id,)``.
-    """
-
-    time: float
-    kind: str
-    args: Tuple = ()
+#: The faults a shard can enact at a barrier: network state and node
+#: lifecycle.  CPU and disk antagonists need a live injector process.
+_BARRIER_FAULTS = (NodeCrash, NodeRestart, PartitionCut, Heal, LinkDegrade)
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,8 @@ class PartitionSpec:
     observe_from: float = 0.0
     latency_base: float = 0.0005
     latency_jitter: float = 0.0005
-    chaos: Tuple[ChaosOp, ...] = ()
+    #: Faults, each enacted at the first barrier at or after its time.
+    chaos: FaultSchedule = field(default_factory=FaultSchedule)
 
     def __post_init__(self) -> None:
         if self.nodes < self.shards or self.shards < 1:
@@ -110,6 +107,21 @@ class PartitionSpec:
             raise ValueError("epoch and until must be positive")
         if self.scenario not in ("steady", "decommission", "join"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        for fault in self.chaos:
+            if not isinstance(fault, _BARRIER_FAULTS):
+                raise ValueError(
+                    f"a partitioned run cannot enact {fault!r} at a barrier")
+            if isinstance(fault, LinkDegrade) and fault.latency_mult < 1.0:
+                # A speed-up could land a message before the next barrier.
+                raise ValueError(
+                    f"partitioned runs need latency_mult >= 1: {fault!r}")
+
+    def cluster_config(self) -> ClusterConfig:
+        """The configuration every shard's cluster is built from."""
+        return ClusterConfig.for_bug(
+            self.bug, nodes=self.nodes, mode=Mode.REAL, seed=self.seed,
+            state_backend=self.state_backend,
+            latency=LatencyModel(self.latency_base, self.latency_jitter))
 
 
 def owner_of(node_id: str, shards: int) -> int:
@@ -117,119 +129,103 @@ def owner_of(node_id: str, shards: int) -> int:
     return int(node_id.split("-", 1)[1].split(":", 1)[0]) % shards
 
 
-def phantom_blob(node_id: str, vnodes: int) -> tuple:
-    """The gossip blob of an established-NORMAL remote peer.
+class ShardFaultTarget(ClusterFaultTarget):
+    """A shard's fault target: crash and restart touch the fabric's down
+    set in every shard, and stop or reboot the node only in its owner.
+    Cuts and degraded links are fabric state, replicated as they are."""
 
-    Bit-identical to ``own_state.to_blob()`` after
-    :meth:`~repro.cassandra.node.Node.establish_normal` on a fresh node:
-    generation 1, heartbeat version 0, TOKENS published at version 1 and
-    STATUS NORMAL at version 2 (the differential suite pins the match).
-    """
-    tokens = tuple(tokens_for_node(node_id, vnodes))
-    return (1, 0, ((STATUS, STATUS_NORMAL, 2, None),
-                   (TOKENS, "", 1, tokens)))
+    def __init__(self, shard: "Shard") -> None:
+        super().__init__(shard.cluster)
+        self.shard = shard
+
+    def crash(self, node: str) -> bool:
+        """Crash."""
+        self.cluster.network.crash(node)
+        return super().crash(node) if self.shard.owns(node) else True
+
+    def restart(self, node: str) -> bool:
+        """Restart."""
+        self.cluster.network.recover(node)
+        return super().restart(node) if self.shard.owns(node) else True
 
 
 @dataclass
 class ShardResult:
-    """Per-shard raw material for the merged report (picklable)."""
+    """One shard's report parts and kernel step count (picklable)."""
 
     index: int
     steps: int
-    duration: float
-    sent: int
-    delivered: int
-    dropped_down: int
-    dropped_cut: int
-    dropped_unknown_dst: int
-    dropped_degraded: int
-    recoveries: int
-    flap_events: List[FlapEvent] = field(default_factory=list)
-    calc_records: List[CalcRecord] = field(default_factory=list)
-    #: node -> scalar metric dict, for order-fixed global reduction.
-    node_stats: Dict[str, Dict[str, Optional[float]]] = field(default_factory=dict)
+    parts: ReportParts
+
+
+def _delayed(delay: float, driver):
+    """Run ``driver`` after ``delay`` virtual seconds."""
+    yield Timeout(delay)
+    yield from driver
 
 
 class Shard:
-    """One simulator hosting ``nodes % K == index``, plus its fabric."""
+    """One simulator hosting ``nodes % K == index``, plus its fabric.
+
+    Also the in-process handle of itself: :func:`run_partitioned` drives
+    a local shard and a forked worker's proxy through the same calls.
+    """
 
     def __init__(self, spec: PartitionSpec, index: int) -> None:
         self.spec = spec
         self.index = index
-        config = ClusterConfig.for_bug(
-            spec.bug, nodes=spec.nodes, mode=Mode.REAL, seed=spec.seed,
-            state_backend=spec.state_backend,
-            latency=LatencyModel(spec.latency_base, spec.latency_jitter))
+        config = spec.cluster_config()
         self.cluster = Cluster(config)
         self.fabric = ShardFabric(self.cluster.sim, config.latency,
                                   spec.seed, spec.epoch)
         # Swap before any node registers; nodes capture cluster.network.
         self.cluster.network = self.fabric
-        self._build_established()
+        self.cluster.build_established(hosted={
+            node_name(i) for i in range(index, spec.nodes, spec.shards)})
         self._spawn_drivers()
+        self.faults = Injector(spec.chaos, ShardFaultTarget(self))
         #: Locally-addressed flights held for the next barrier's inject.
         self._local_hold: List[Flight] = []
 
-    # -- construction ----------------------------------------------------------
-
-    def _build_established(self) -> None:
-        spec = self.spec
-        cluster = self.cluster
-        names = [node_name(i) for i in range(spec.nodes)]
-        local = [name for i, name in enumerate(names)
-                 if i % spec.shards == self.index]
-        for name in local:
-            cluster.add_node(name)
-        for name in local:
-            cluster.nodes[name].establish_normal()
-        vnodes = cluster.config.bug.vnodes
-        blobs = {
-            name: (cluster.nodes[name].gossiper.own_state.to_blob()
-                   if name in cluster.nodes else phantom_blob(name, vnodes))
-            for name in names
-        }
-        for name in local:
-            node = cluster.nodes[name]
-            for other, blob in blobs.items():
-                if other != name:
-                    node.gossiper.populate(other, blob)
-            node._ring_dirty = False  # population is not a topology change
-        for name in local:
-            cluster.start_node(cluster.nodes[name])
+    def owns(self, node_id: str) -> bool:
+        """Whether ``node_id`` lives in this shard."""
+        return owner_of(node_id, self.spec.shards) == self.index
 
     def _spawn_drivers(self) -> None:
         spec = self.spec
+        cluster = self.cluster
+        params = ScenarioParams(leaving_duration=spec.leaving_duration,
+                                join_duration=spec.join_duration)
         if spec.scenario == "decommission":
             victim = node_name(spec.nodes - 1)
-            if owner_of(victim, spec.shards) == self.index:
-                self.cluster.sim.spawn(
-                    _decommission_driver(self.cluster.nodes[victim], spec),
+            if self.owns(victim):
+                cluster.sim.spawn(
+                    _delayed(spec.op_time, _decommission_driver(
+                        cluster.nodes[victim], params)),
                     name=f"decommission:{victim}")
         elif spec.scenario == "join":
             for j in range(spec.join_count):
                 joiner = node_name(spec.nodes + j)
-                if owner_of(joiner, spec.shards) != self.index:
-                    continue
-                delay = spec.op_time + j * spec.join_stagger
-                self.cluster.sim.spawn(
-                    _join_driver(self.cluster, joiner, delay, spec),
-                    name=f"join:{joiner}")
+                if self.owns(joiner):
+                    delay = spec.op_time + j * spec.join_stagger
+                    cluster.sim.spawn(
+                        _join_driver(cluster, joiner, delay, params),
+                        name=f"join:{joiner}")
 
     # -- lockstep ---------------------------------------------------------------
 
-    def advance(self, inbound: List[Flight], chaos: Sequence[ChaosOp],
+    def advance(self, inbound: List[Flight],
                 next_barrier: float) -> List[Flight]:
-        """One epoch: inject, apply chaos, run, and return outbound flights.
+        """One epoch: inject, enact due faults, run, return outbound flights.
 
         Called with the simulator sitting exactly at the previous barrier.
-        Injection happens before chaos so the per-barrier order is fixed;
+        Injection happens before faults so the per-barrier order is fixed;
         arrival-time fault checks read fabric state when the arrival event
         fires, so the relative order cannot leak into delivery outcomes.
         """
         self.fabric.inject(self._local_hold + inbound)
         self._local_hold = []
-        for op in chaos:
-            self.apply_chaos(op)
+        self.faults.enact_due(self.cluster.sim)
         self.cluster.sim.run(until=next_barrier)
         outbound: List[Flight] = []
         shards = self.spec.shards
@@ -240,170 +236,39 @@ class Shard:
                 outbound.append(flight)
         return outbound
 
-    def apply_chaos(self, op: ChaosOp) -> None:
-        """Apply one quantized fault op (fabric part in every shard)."""
-        if op.kind == "partition":
-            side_a, side_b = op.args
-            self.fabric.partition(list(side_a), list(side_b))
-        elif op.kind == "heal":
-            self.fabric.heal()
-        elif op.kind == "degrade":
-            src, dst, drop_p, latency_mult = op.args
-            self.fabric.degrade(src, dst, drop_p, latency_mult)
-        elif op.kind == "crash":
-            node_id = op.args[0]
-            self.fabric.crash(node_id)
-            if owner_of(node_id, self.spec.shards) == self.index:
-                node = self.cluster.nodes.get(node_id)
-                if node is not None and node.running:
-                    node.stop()
-        elif op.kind == "restart":
-            node_id = op.args[0]
-            self.fabric.recover(node_id)
-            if owner_of(node_id, self.spec.shards) == self.index:
-                self.cluster.restart_node(node_id)
-        else:
-            raise ValueError(f"unknown chaos kind {op.kind!r}")
-
-    # -- results ------------------------------------------------------------------
-
     def finish(self) -> ShardResult:
-        """Snapshot this shard's metrics for the merge."""
-        cluster = self.cluster
-        fabric = self.fabric
-        node_stats: Dict[str, Dict[str, Optional[float]]] = {}
-        for name, node in cluster.nodes.items():
-            cpu = node.cpu
-            has_stretch = (getattr(cpu, "completed_jobs", 0) > 0
-                           and hasattr(cpu, "mean_stretch"))
-            node_stats[name] = {
-                "utilization": cpu.utilization(),
-                "peak_utilization": getattr(cpu, "peak_utilization", 0.0),
-                "stretch": cpu.mean_stretch() if has_stretch else None,
-                "cpu_contention": getattr(cpu, "contention_seconds", 0.0),
-                "inbox_max_wait": node.inbox.max_wait,
-                "inbox_mean_wait": node.inbox.mean_wait(),
-                "inbox_total_wait": node.inbox.total_wait,
-                "calcq_total_wait": node.calc_queue.total_wait,
-                "ring_total_wait": node.ring_lock.total_wait,
-                "ring_max_hold": node.ring_lock.max_hold,
-                "ring_max_wait": node.ring_lock.max_wait,
-            }
-        return ShardResult(
-            index=self.index,
-            steps=cluster.sim.steps,
-            duration=cluster.sim.now,
-            sent=fabric.sent,
-            delivered=fabric.delivered,
-            dropped_down=fabric.dropped_down,
-            dropped_cut=fabric.dropped_cut,
-            dropped_unknown_dst=fabric.dropped_unknown_dst,
-            dropped_degraded=fabric.dropped_degraded,
-            recoveries=cluster.flaps.recoveries,
-            flap_events=list(cluster.flaps.flaps),
-            calc_records=list(cluster.calc_records),
-            node_stats=node_stats,
-        )
+        """Snapshot this shard's report parts for the merge."""
+        return ShardResult(index=self.index, steps=self.cluster.sim.steps,
+                           parts=self.cluster.report_parts())
 
-
-# -- scenario drivers (partitioned twins of repro.cassandra.workloads) ---------
-
-
-def _decommission_driver(node, spec: PartitionSpec):
-    """LEAVING -> (streaming) -> LEFT -> shutdown, announced via gossip."""
-    yield Timeout(spec.op_time)
-    node.announce_status(STATUS_LEAVING)
-    yield Timeout(spec.leaving_duration)
-    node.announce_status(STATUS_LEFT)
-    # Keep gossiping LEFT for a grace period so the departure propagates.
-    yield Timeout(10.0)
-    node.stop()
-
-
-def _join_driver(cluster: Cluster, node_id: str, delay: float,
-                 spec: PartitionSpec):
-    """A new node appearing, bootstrapping, and reaching NORMAL."""
-    yield Timeout(delay)
-    node = cluster.add_node(node_id)
-    if not cluster.start_node(node):
-        return
-    node.announce_tokens()
-    node.announce_status(STATUS_BOOT)
-    yield Timeout(spec.join_duration)
-    node.announce_status(STATUS_NORMAL)
-
-
-# -- the merge ------------------------------------------------------------------
+    def close(self) -> None:
+        """Nothing to release in-process."""
 
 
 def merge_results(spec: PartitionSpec,
                   results: Sequence[ShardResult]) -> RunReport:
     """Fold per-shard results into one deterministic :class:`RunReport`.
 
-    Every reduction runs in global sorted-node (or sorted-event) order, so
-    the output -- float sums included -- is independent of how nodes were
+    Rows are sorted by node and events by time (ties by node), so the
+    output -- float sums included -- is independent of how nodes were
     sharded and of which process produced each piece.
     """
-    stats: Dict[str, Dict[str, Optional[float]]] = {}
-    for result in results:
-        stats.update(result.node_stats)
-    names = sorted(stats)
-    flap_events = sorted(
-        (event for result in results for event in result.flap_events),
-        key=lambda e: (e.time, e.observer, e.target))
-    events = [e for e in flap_events if e.time >= spec.observe_from]
-    by_node: Dict[str, List[CalcRecord]] = {}
-    for result in results:
-        for record in result.calc_records:
-            by_node.setdefault(record.node, []).append(record)
-    ordered = [record for node in sorted(by_node)
-               for record in by_node[node]]
-    ordered.sort(key=lambda record: record.time)  # stable: node ties hold
-    calc_records = [r for r in ordered if r.time >= spec.observe_from]
-    stretches = [stats[n]["stretch"] for n in names
-                 if stats[n]["stretch"] is not None]
-    mean_waits = [stats[n]["inbox_mean_wait"] for n in names]
-    return RunReport(
-        mode=Mode.REAL.value,
-        bug=spec.bug,
-        nodes=spec.nodes,
-        vnodes=get_bug(spec.bug).vnodes,
-        duration=max(result.duration for result in results),
-        flaps=len(events),
-        recoveries=sum(result.recoveries for result in results),
-        flap_events=events,
-        calc_records=calc_records,
-        messages_sent=sum(r.sent for r in results),
-        messages_delivered=sum(r.delivered for r in results),
-        messages_dropped=sum(r.dropped_down + r.dropped_cut
-                             + r.dropped_unknown_dst + r.dropped_degraded
-                             for r in results),
-        dropped_down=sum(r.dropped_down for r in results),
-        dropped_cut=sum(r.dropped_cut for r in results),
-        dropped_unknown_dst=sum(r.dropped_unknown_dst for r in results),
-        dropped_degraded=sum(r.dropped_degraded for r in results),
-        cpu_utilization=max((stats[n]["utilization"] for n in names),
-                            default=0.0),
-        cpu_peak_utilization=max((stats[n]["peak_utilization"]
-                                  for n in names), default=0.0),
-        mean_stretch=(sum(stretches) / len(stretches)) if stretches else 1.0,
-        max_stage_wait=max((stats[n]["inbox_max_wait"] for n in names),
-                           default=0.0),
-        mean_stage_wait=(sum(mean_waits) / len(mean_waits))
-        if mean_waits else 0.0,
-        lock_max_hold=max((stats[n]["ring_max_hold"] for n in names),
-                          default=0.0),
-        lock_max_wait=max((stats[n]["ring_max_wait"] for n in names),
-                          default=0.0),
-        stage_lateness={
-            GOSSIP_STAGE_QUEUE: sum(stats[n]["inbox_total_wait"]
-                                    for n in names),
-            CALC_STAGE_QUEUE: sum(stats[n]["calcq_total_wait"]
-                                  for n in names),
-            RING_LOCK: sum(stats[n]["ring_total_wait"] for n in names),
-            CPU_CONTENTION: sum(stats[n]["cpu_contention"] for n in names),
-        },
+    parts = [result.parts for result in results]
+    merged = ReportParts(
+        duration=max(part.duration for part in parts),
+        recoveries=sum(part.recoveries for part in parts),
+        flap_events=sorted(
+            (event for part in parts for event in part.flap_events),
+            key=lambda e: (e.time, e.observer, e.target)),
+        calc_records=sorted(
+            (record for part in parts for record in part.calc_records),
+            key=lambda r: (r.time, r.node)),
+        traffic={name: sum(part.traffic[name] for part in parts)
+                 for name in parts[0].traffic},
+        rows=sorted((row for part in parts for row in part.rows),
+                    key=lambda row: row["node"]),
     )
+    return assemble_report(spec.cluster_config(), merged, spec.observe_from)
 
 
 # -- lockstep coordination ------------------------------------------------------
@@ -423,38 +288,26 @@ def _barriers(spec: PartitionSpec) -> List[float]:
     return barriers
 
 
-class _LocalHandle:
-    """In-process shard handle (workers=0)."""
-
-    def __init__(self, spec: PartitionSpec, index: int) -> None:
-        self._shard = Shard(spec, index)
-
-    def advance(self, inbound, chaos, next_barrier):
-        return self._shard.advance(inbound, chaos, next_barrier)
-
-    def finish(self):
-        return self._shard.finish()
-
-    def close(self):
-        pass
+class ShardError(RuntimeError):
+    """A shard failed; the message names the shard and the cause."""
 
 
 def _worker_main(conn, spec: PartitionSpec, index: int) -> None:
-    """Worker-process loop: build one shard, serve lockstep commands."""
+    """Worker-process loop: build one shard, serve lockstep commands.
+
+    Replies ``(True, result)``, or ``(False, traceback)`` once on failure.
+    """
     try:
         shard = Shard(spec, index)
         while True:
-            command = conn.recv()
-            if command[0] == "advance":
-                __, inbound, chaos, next_barrier = command
-                conn.send(shard.advance(inbound, chaos, next_barrier))
-            elif command[0] == "finish":
-                conn.send(shard.finish())
+            command, *args = conn.recv()
+            conn.send((True, getattr(shard, command)(*args)))
+            if command == "finish":
                 break
-            else:
-                raise ValueError(f"unknown command {command[0]!r}")
     except (EOFError, KeyboardInterrupt):
         pass
+    except Exception:
+        conn.send((False, traceback.format_exc()))
     finally:
         conn.close()
 
@@ -463,26 +316,46 @@ class _WorkerHandle:
     """Shard handle living in a forked worker process."""
 
     def __init__(self, ctx, spec: PartitionSpec, index: int) -> None:
+        self.index = index
         self._conn, child = ctx.Pipe(duplex=True)
         self._process = ctx.Process(
             target=_worker_main, args=(child, spec, index),
             name=f"shard-{index}", daemon=True)
         self._process.start()
         child.close()
+        self._finished = False
 
-    def advance(self, inbound, chaos, next_barrier):
-        self._conn.send(("advance", inbound, chaos, next_barrier))
-        return self._conn.recv()
+    def _call(self, *command):
+        try:
+            self._conn.send(command)
+        except OSError:
+            pass  # the worker is gone; its last reply is still readable
+        try:
+            ok, reply = self._conn.recv()
+        except (EOFError, OSError):
+            self._process.join(timeout=30)
+            raise ShardError(f"shard {self.index} worker exited with code "
+                             f"{self._process.exitcode}") from None
+        if not ok:
+            cause = reply.strip().splitlines()[-1]
+            raise ShardError(f"shard {self.index} failed: {cause}\n"
+                             f"worker traceback:\n{reply}")
+        return reply
+
+    def advance(self, inbound, next_barrier):
+        return self._call("advance", inbound, next_barrier)
 
     def finish(self):
-        self._conn.send(("finish",))
-        return self._conn.recv()
+        result = self._call("finish")
+        self._finished = True
+        return result
 
     def close(self):
+        """Reap the worker; one a failed run left waiting is killed."""
         self._conn.close()
-        self._process.join(timeout=30)
-        if self._process.is_alive():
+        if not self._finished:
             self._process.terminate()
+        self._process.join(timeout=30)
 
 
 def run_partitioned(spec: PartitionSpec) -> RunReport:
@@ -491,32 +364,24 @@ def run_partitioned(spec: PartitionSpec) -> RunReport:
     ``spec.workers == 0`` interleaves all shards in this process (the
     reference mode); any positive count runs each shard in its own forked
     worker.  Both paths execute the identical per-barrier sequence, so
-    their reports are byte-identical.
+    their reports are byte-identical.  A failing shard raises
+    :class:`ShardError` and every other worker is stopped at once.
     """
     started = _time.perf_counter()
-    chaos = sorted(spec.chaos, key=lambda op: op.time)
-    if spec.workers > 0:
-        ctx = fork_context()
-        handles: List[Any] = [_WorkerHandle(ctx, spec, index)
-                              for index in range(spec.shards)]
-    else:
-        handles = [_LocalHandle(spec, index) for index in range(spec.shards)]
+    ctx = fork_context() if spec.workers > 0 else None
+    handles: List[Any] = []
     try:
+        for index in range(spec.shards):
+            handles.append(_WorkerHandle(ctx, spec, index)
+                           if ctx is not None else Shard(spec, index))
         inbound: List[List[Flight]] = [[] for __ in range(spec.shards)]
-        applied = 0
-        previous = 0.0
         for barrier in _barriers(spec):
-            due: List[ChaosOp] = []
-            while applied < len(chaos) and chaos[applied].time <= previous:
-                due.append(chaos[applied])
-                applied += 1
             outbound: List[Flight] = []
             for index, handle in enumerate(handles):
-                outbound.extend(handle.advance(inbound[index], due, barrier))
+                outbound.extend(handle.advance(inbound[index], barrier))
             inbound = [[] for __ in range(spec.shards)]
             for flight in outbound:
                 inbound[owner_of(flight[1].dst, spec.shards)].append(flight)
-            previous = barrier
         results = [handle.finish() for handle in handles]
     finally:
         for handle in handles:

@@ -459,15 +459,16 @@ def _partition_self_check(epoch: float) -> int:
     forked workers, and asserts every canonical report digest matches the
     serial baseline.  Exit 2 on any mismatch (the self-check convention).
     """
-    from .cassandra.partition import ChaosOp, PartitionSpec, run_partitioned
+    from .cassandra.partition import PartitionSpec, run_partitioned
+    from .faults import FaultSchedule, NodeCrash, NodeRestart, PartitionCut
 
     base = dict(nodes=12, epoch=epoch, until=4.0, seed=7)
-    chaos = (
-        ChaosOp(1.0, "crash", ("node-004",)),
-        ChaosOp(1.2, "partition",
-                (("node-000", "node-001"), ("node-002", "node-003"))),
-        ChaosOp(2.0, "restart", ("node-004",)),
-    )
+    chaos = FaultSchedule([
+        NodeCrash(1.0, node="node-004"),
+        PartitionCut(1.2, side_a=("node-000", "node-001"),
+                     side_b=("node-002", "node-003")),
+        NodeRestart(2.0, node="node-004"),
+    ])
     checks = []
 
     serial = run_partitioned(PartitionSpec(shards=1, **base))

@@ -4,7 +4,8 @@ The :class:`Injector` expands a :class:`~repro.faults.schedule.
 FaultSchedule` into a timeline of actions (including the automatic
 *restore* actions implied by duration-bounded degradations), then runs as
 one simulator process that sleeps to each action's virtual time and applies
-it through a :class:`FaultTarget` adapter.
+it through a :class:`FaultTarget` adapter.  A partitioned run enacts the
+same timeline at its lockstep barriers instead (:meth:`Injector.enact_due`).
 
 Everything is deterministic: actions fire at exact virtual times, CPU-hog
 antagonists are plain simulated processes, and probabilistic link drops
@@ -15,7 +16,8 @@ subjected to the *same* chaos as the memoization run it replays.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..sim.kernel import Compute, Simulator, Timeout
 from .primitives import (
@@ -172,6 +174,8 @@ class Injector:
         self.enacted: List[Tuple[float, str]] = []
         self.skipped: List[Tuple[float, str]] = []
         self._installed = False
+        #: Barrier mode: timeline entries not yet enacted.
+        self._pending: Optional[Deque] = None
 
     # -- timeline expansion ---------------------------------------------------
 
@@ -236,17 +240,30 @@ class Injector:
         self._sim = sim
         sim.spawn(self._run(sim), name="fault-injector")
 
+    def enact_due(self, sim: Simulator) -> None:
+        """Enact, at ``sim.now``, every action due by then (barrier mode).
+
+        The process-free alternative to :meth:`install` for a lockstep
+        runner: called at each barrier, it quantizes every action to the
+        first barrier at or after its time, in timeline order.
+        """
+        if self._pending is None:
+            self._sim = sim
+            self._pending = deque(self._timeline())
+        pending = self._pending
+        while pending and pending[0][0] <= sim.now:
+            __, __, label, action = pending.popleft()
+            self._record(sim, label, action())
+
     def _run(self, sim: Simulator):
         for when, __, label, action in self._timeline():
             if when > sim.now:
                 yield Timeout(when - sim.now)
-            applied = action()
-            record = (sim.now, label)
-            if applied:
-                self.enacted.append(record)
-            else:
-                self.skipped.append(record)
-            sim.trace.emit(sim.now, "fault" if applied else "fault-skip", label)
+            self._record(sim, label, action())
+
+    def _record(self, sim: Simulator, label: str, applied: bool) -> None:
+        (self.enacted if applied else self.skipped).append((sim.now, label))
+        sim.trace.emit(sim.now, "fault" if applied else "fault-skip", label)
 
     def _start_stress(self, event: CpuStress) -> bool:
         cpu = self.target.cpu_for(event.node)

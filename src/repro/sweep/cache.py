@@ -95,13 +95,18 @@ class SweepCache:
         return self.results_dir / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Stored result payload for ``key``, or None."""
-        path = self._result_path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        payload = json.loads(path.read_text())
-        if payload.get("schema") != CACHE_SCHEMA:
+        """Stored result payload for ``key``, or None (a counted miss).
+
+        A missing, unreadable or malformed entry (a truncated write, say)
+        is a miss: the point is recomputed and :meth:`put` overwrites it.
+        """
+        try:
+            payload = json.loads(self._result_path(key).read_text())
+        except (OSError, ValueError):
+            payload = None
+        if (not isinstance(payload, dict)
+                or payload.get("schema") != CACHE_SCHEMA
+                or "result" not in payload):
             self.misses += 1
             return None
         self.hits += 1

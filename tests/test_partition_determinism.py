@@ -10,14 +10,23 @@ joiners), chaos schedules (crash/restart, partition/heal, degraded
 links), both state backends, and the in-process vs forked-worker paths.
 """
 
+import multiprocessing
+import time
+
 import pytest
 
-from repro.cassandra.cluster import Cluster, ClusterConfig, Mode
-from repro.cassandra.partition import (
-    ChaosOp,
-    PartitionSpec,
-    phantom_blob,
-    run_partitioned,
+from repro.cassandra import partition
+from repro.cassandra.cluster import Cluster, ClusterConfig, Mode, phantom_blob
+from repro.cassandra.partition import PartitionSpec, run_partitioned
+from repro.faults import (
+    CpuStress,
+    DiskDegrade,
+    FaultSchedule,
+    Heal,
+    LinkDegrade,
+    NodeCrash,
+    NodeRestart,
+    PartitionCut,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.network import LatencyModel
@@ -60,14 +69,15 @@ def test_midrun_joiners_match_serial():
 
 def test_chaos_schedule_matches_serial():
     """Barrier-quantized chaos (crash/restart, cuts, degrade) is K-invariant."""
-    chaos = (
-        ChaosOp(1.0, "crash", ("node-004",)),
-        ChaosOp(1.2, "partition",
-                (("node-000", "node-001"), ("node-002", "node-003"))),
-        ChaosOp(2.0, "degrade", ("node-005", "node-006", 0.5, 2.0)),
-        ChaosOp(2.6, "heal", ()),
-        ChaosOp(3.0, "restart", ("node-004",)),
-    )
+    chaos = FaultSchedule([
+        NodeCrash(1.0, node="node-004"),
+        PartitionCut(1.2, side_a=("node-000", "node-001"),
+                     side_b=("node-002", "node-003")),
+        LinkDegrade(2.0, src="node-005", dst="node-006", drop_p=0.5,
+                    latency_mult=2.0, symmetric=False),
+        Heal(2.6),
+        NodeRestart(3.0, node="node-004"),
+    ])
     base = dict(nodes=12, epoch=0.05, until=6.0, seed=9, chaos=chaos)
     serial = run_partitioned(PartitionSpec(shards=1, **base))
     assert serial.dropped_cut > 0      # the cut was live and mattered
@@ -79,7 +89,7 @@ def test_chaos_schedule_matches_serial():
 
 def test_crash_conviction_flaps_match_serial():
     """A long crash is convicted by peers identically under any K."""
-    chaos = (ChaosOp(1.0, "crash", ("node-005",)),)
+    chaos = FaultSchedule([NodeCrash(1.0, node="node-005")])
     base = dict(nodes=8, epoch=0.05, until=25.0, seed=2, chaos=chaos)
     serial = run_partitioned(PartitionSpec(shards=1, **base))
     assert serial.flaps > 0            # peers actually convicted the victim
@@ -107,13 +117,35 @@ def test_state_backends_match_under_partitioning():
 
 
 def test_observe_from_filters_headline_flaps():
-    chaos = (ChaosOp(1.0, "crash", ("node-005",)),)
+    chaos = FaultSchedule([NodeCrash(1.0, node="node-005")])
     base = dict(nodes=8, epoch=0.05, until=25.0, seed=2, chaos=chaos)
     full = run_partitioned(PartitionSpec(shards=2, **base))
     first_flap = min(e.time for e in full.flap_events)
     late = run_partitioned(
         PartitionSpec(shards=2, observe_from=first_flap + 1e-9, **base))
     assert late.flaps < full.flaps
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the broken advance reaches workers by fork")
+def test_failing_worker_names_shard_and_cause(monkeypatch):
+    """A worker's exception comes back named, and the run stops at once."""
+    advance = partition.Shard.advance
+
+    def broken(shard, inbound, next_barrier):
+        if shard.index == 1 and next_barrier > 0.5:
+            raise RuntimeError("disk on fire")
+        return advance(shard, inbound, next_barrier)
+
+    monkeypatch.setattr(partition.Shard, "advance", broken)
+    spec = PartitionSpec(nodes=12, shards=3, workers=3, epoch=0.05,
+                         until=2.0, seed=7)
+    started = time.perf_counter()
+    with pytest.raises(partition.ShardError,
+                       match=r"shard 1 failed: RuntimeError: disk on fire"):
+        run_partitioned(spec)
+    assert time.perf_counter() - started < 10.0
+    assert not multiprocessing.active_children()
 
 
 # -- construction invariants ---------------------------------------------------
@@ -141,10 +173,14 @@ def test_spec_validation():
 
 
 def test_unknown_chaos_kind_rejected():
-    spec = PartitionSpec(nodes=4, shards=1, epoch=0.05, until=0.1,
-                         chaos=(ChaosOp(0.0, "eclipse", ()),))
-    with pytest.raises(ValueError):
-        run_partitioned(spec)
+    """Faults a barrier cannot enact fail when the spec is built."""
+    for fault in (CpuStress(0.0, node="node-000"),
+                  DiskDegrade(0.0, node="node-000"),
+                  LinkDegrade(0.0, src="node-000", dst="node-001",
+                              latency_mult=0.5)):
+        with pytest.raises(ValueError, match=type(fault).__name__):
+            PartitionSpec(nodes=4, shards=1, epoch=0.05, until=0.1,
+                          chaos=FaultSchedule([fault]))
 
 
 # -- fabric mechanics ----------------------------------------------------------

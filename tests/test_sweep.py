@@ -151,6 +151,19 @@ def test_cache_miss_then_hit(tmp_path):
     assert len(cache) == 1
 
 
+def test_truncated_entry_is_a_miss_then_overwritten(tmp_path):
+    cache = SweepCache(tmp_path)
+    cache.put("deadbeef", {"report": {"flaps": 3}})
+    path = cache.results_dir / "deadbeef.json"
+    path.write_text(path.read_text()[:20])
+    assert cache.get("deadbeef") is None
+    path.write_text("[]")
+    assert cache.get("deadbeef") is None
+    cache.put("deadbeef", {"report": {"flaps": 3}})
+    assert cache.get("deadbeef") == {"report": {"flaps": 3}}
+    assert cache.stats() == {"hits": 1, "misses": 2}
+
+
 def test_memo_digest_requires_both_files(tmp_path):
     cache = SweepCache(tmp_path)
     assert cache.memo_digest("abc") is None
