@@ -5,9 +5,10 @@ round-robin across K independent simulators that advance in conservative
 lockstep epochs (:mod:`repro.sim.partition`), so one machine can run the
 N=2048 gossip scenarios the paper's section 8 colocation analysis asks
 about.  The sharding is *deterministic by construction*: the same spec run
-with any K -- including K=1, the serial baseline -- and with any worker
-count produces a byte-identical canonical :class:`~repro.cassandra.metrics.
-RunReport` (``tests/test_partition_determinism.py`` pins it).
+with any K -- including K=1, the serial baseline -- in-process or with one
+forked worker per shard produces a byte-identical canonical
+:class:`~repro.cassandra.metrics.RunReport`
+(``tests/test_partition_determinism.py`` pins it).
 
 Each shard is a classic :class:`~repro.cassandra.cluster.Cluster` running
 the classic builder, :mod:`~repro.cassandra.workloads` drivers,
@@ -40,9 +41,11 @@ therefore compared against other partitioned reports, not classic ones.
 
 from __future__ import annotations
 
+import pickle
 import time as _time
 import traceback
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, List, Sequence
 
 from ..faults.injector import ClusterFaultTarget, Injector
@@ -85,7 +88,8 @@ class PartitionSpec:
     seed: int = 42
     bug: str = "c3831"
     state_backend: str = "columnar"
-    #: Worker processes; 0 runs every shard in-process (interleaved).
+    #: Worker processes: 0 runs every shard in-process (interleaved),
+    #: otherwise one forked worker per shard.
     workers: int = 0
     scenario: str = "steady"        # "steady" | "decommission" | "join"
     op_time: float = 2.0            # when the membership operation starts
@@ -103,6 +107,10 @@ class PartitionSpec:
         if self.nodes < self.shards or self.shards < 1:
             raise ValueError(
                 f"need 1 <= shards <= nodes: {self.shards}/{self.nodes}")
+        if self.workers not in (0, self.shards):
+            raise ValueError(
+                f"workers must be 0 (in-process) or equal shards: "
+                f"workers={self.workers}, shards={self.shards}")
         if self.epoch <= 0.0 or self.until <= 0.0:
             raise ValueError("epoch and until must be positive")
         if self.scenario not in ("steady", "decommission", "join"):
@@ -165,11 +173,7 @@ def _delayed(delay: float, driver):
 
 
 class Shard:
-    """One simulator hosting ``nodes % K == index``, plus its fabric.
-
-    Also the in-process handle of itself: :func:`run_partitioned` drives
-    a local shard and a forked worker's proxy through the same calls.
-    """
+    """One simulator hosting ``nodes % K == index``, plus its fabric."""
 
     def __init__(self, spec: PartitionSpec, index: int) -> None:
         self.spec = spec
@@ -214,35 +218,32 @@ class Shard:
 
     # -- lockstep ---------------------------------------------------------------
 
-    def advance(self, inbound: List[Flight],
-                next_barrier: float) -> List[Flight]:
-        """One epoch: inject, enact due faults, run, return outbound flights.
+    def advance(self, inbound: List[List[Flight]],
+                next_barrier: float) -> List[List[Flight]]:
+        """One epoch: inject, enact due faults, run, route outbound flights.
 
+        ``inbound`` holds one group of flights per sending shard; the
+        result holds one group per destination shard (this shard's own is
+        empty: locally-addressed flights stay here for the next barrier).
         Called with the simulator sitting exactly at the previous barrier.
         Injection happens before faults so the per-barrier order is fixed;
         arrival-time fault checks read fabric state when the arrival event
         fires, so the relative order cannot leak into delivery outcomes.
         """
-        self.fabric.inject(self._local_hold + inbound)
-        self._local_hold = []
+        self.fabric.inject(chain(self._local_hold, *inbound))
         self.faults.enact_due(self.cluster.sim)
         self.cluster.sim.run(until=next_barrier)
-        outbound: List[Flight] = []
         shards = self.spec.shards
+        outbound: List[List[Flight]] = [[] for __ in range(shards)]
         for flight in self.fabric.collect():
-            if owner_of(flight[1].dst, shards) == self.index:
-                self._local_hold.append(flight)
-            else:
-                outbound.append(flight)
+            outbound[owner_of(flight[1].dst, shards)].append(flight)
+        self._local_hold, outbound[self.index] = outbound[self.index], []
         return outbound
 
     def finish(self) -> ShardResult:
         """Snapshot this shard's report parts for the merge."""
         return ShardResult(index=self.index, steps=self.cluster.sim.steps,
                            parts=self.cluster.report_parts())
-
-    def close(self) -> None:
-        """Nothing to release in-process."""
 
 
 def merge_results(spec: PartitionSpec,
@@ -295,21 +296,47 @@ class ShardError(RuntimeError):
 def _worker_main(conn, spec: PartitionSpec, index: int) -> None:
     """Worker-process loop: build one shard, serve lockstep commands.
 
+    Flights cross processes as *parcels*: each non-empty group a shard
+    routes to one destination is pickled here once, relayed unopened by
+    the coordinator and unpickled by the destination worker.
     Replies ``(True, result)``, or ``(False, traceback)`` once on failure.
     """
     try:
         shard = Shard(spec, index)
         while True:
             command, *args = conn.recv()
-            conn.send((True, getattr(shard, command)(*args)))
             if command == "finish":
+                conn.send((True, shard.finish()))
                 break
+            parcels, next_barrier = args
+            outbound = shard.advance(
+                [pickle.loads(parcel) for parcel in parcels], next_barrier)
+            conn.send((True, [pickle.dumps(group, pickle.HIGHEST_PROTOCOL)
+                              if group else b"" for group in outbound]))
     except (EOFError, KeyboardInterrupt):
         pass
     except Exception:
         conn.send((False, traceback.format_exc()))
     finally:
         conn.close()
+
+
+class _LocalHandle:
+    """An in-process shard behind the same send/recv calls as a worker;
+    its parcels are the flight lists themselves."""
+
+    def __init__(self, spec: PartitionSpec, index: int) -> None:
+        self._shard = Shard(spec, index)
+        self._reply: Any = None
+
+    def send(self, command: str, *args) -> None:
+        self._reply = getattr(self._shard, command)(*args)
+
+    def recv(self) -> Any:
+        return self._reply
+
+    def close(self) -> None:
+        """Nothing to release in-process."""
 
 
 class _WorkerHandle:
@@ -325,11 +352,15 @@ class _WorkerHandle:
         child.close()
         self._finished = False
 
-    def _call(self, *command):
+    def send(self, command: str, *args) -> None:
+        """Start ``command`` in the worker without waiting for it."""
         try:
-            self._conn.send(command)
+            self._conn.send((command, *args))
         except OSError:
             pass  # the worker is gone; its last reply is still readable
+
+    def recv(self) -> Any:
+        """The reply to the last command, or :class:`ShardError`."""
         try:
             ok, reply = self._conn.recv()
         except (EOFError, OSError):
@@ -340,15 +371,9 @@ class _WorkerHandle:
             cause = reply.strip().splitlines()[-1]
             raise ShardError(f"shard {self.index} failed: {cause}\n"
                              f"worker traceback:\n{reply}")
+        if isinstance(reply, ShardResult):
+            self._finished = True
         return reply
-
-    def advance(self, inbound, next_barrier):
-        return self._call("advance", inbound, next_barrier)
-
-    def finish(self):
-        result = self._call("finish")
-        self._finished = True
-        return result
 
     def close(self):
         """Reap the worker; one a failed run left waiting is killed."""
@@ -362,27 +387,35 @@ def run_partitioned(spec: PartitionSpec) -> RunReport:
     """Run one partitioned scenario end to end and merge the report.
 
     ``spec.workers == 0`` interleaves all shards in this process (the
-    reference mode); any positive count runs each shard in its own forked
-    worker.  Both paths execute the identical per-barrier sequence, so
-    their reports are byte-identical.  A failing shard raises
-    :class:`ShardError` and every other worker is stopped at once.
+    reference mode); otherwise each shard runs in its own forked worker.
+    Each barrier scatters ``advance`` to every shard before gathering any
+    reply, so forked shards compute at the same time; a shard routes its
+    own outbound flights, and this loop only hands each parcel to its
+    destination.  Both paths execute the identical per-barrier sequence,
+    and injection sorts every barrier's flights canonically, so neither
+    the order replies arrive in nor the path changes the report.  A
+    failing shard raises :class:`ShardError` and every other worker is
+    stopped at once.
     """
     started = _time.perf_counter()
-    ctx = fork_context() if spec.workers > 0 else None
+    ctx = fork_context() if spec.workers else None
     handles: List[Any] = []
     try:
         for index in range(spec.shards):
             handles.append(_WorkerHandle(ctx, spec, index)
-                           if ctx is not None else Shard(spec, index))
-        inbound: List[List[Flight]] = [[] for __ in range(spec.shards)]
+                           if ctx is not None else _LocalHandle(spec, index))
+        inbound: List[List[Any]] = [[] for __ in handles]
         for barrier in _barriers(spec):
-            outbound: List[Flight] = []
-            for index, handle in enumerate(handles):
-                outbound.extend(handle.advance(inbound[index], barrier))
-            inbound = [[] for __ in range(spec.shards)]
-            for flight in outbound:
-                inbound[owner_of(flight[1].dst, spec.shards)].append(flight)
-        results = [handle.finish() for handle in handles]
+            for handle, parcels in zip(handles, inbound):
+                handle.send("advance", parcels, barrier)
+            inbound = [[] for __ in handles]
+            for handle in handles:
+                for dst, parcel in enumerate(handle.recv()):
+                    if parcel:
+                        inbound[dst].append(parcel)
+        for handle in handles:
+            handle.send("finish")
+        results = [handle.recv() for handle in handles]
     finally:
         for handle in handles:
             handle.close()

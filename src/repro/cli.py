@@ -456,8 +456,9 @@ def _partition_self_check(epoch: float) -> int:
     """Cheap K-invariance smoke usable from CI without pytest.
 
     Re-runs a small scenario serially, sharded, under chaos, and with
-    forked workers, and asserts every canonical report digest matches the
-    serial baseline.  Exit 2 on any mismatch (the self-check convention).
+    forked workers (chaos included), and asserts every canonical report
+    digest matches the serial baseline.  Exit 2 on any mismatch (the
+    self-check convention).
     """
     from .cassandra.partition import PartitionSpec, run_partitioned
     from .faults import FaultSchedule, NodeCrash, NodeRestart, PartitionCut
@@ -496,6 +497,12 @@ def _partition_self_check(epoch: float) -> int:
     checks.append(("forked workers == in-process",
                    forked.canonical_json() == serial.canonical_json(),
                    f"digest {forked.digest()[:12]}"))
+    chaos_forked = run_partitioned(PartitionSpec(shards=4, workers=4,
+                                                 chaos=chaos, **base))
+    checks.append(("chaos K=4 forked == K=1",
+                   chaos_forked.canonical_json()
+                   == chaos_serial.canonical_json(),
+                   f"digest {chaos_forked.digest()[:12]}"))
 
     ok = True
     for name, passed, evidence in checks:
@@ -914,7 +921,9 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--shards", type=int, default=4,
                            help="shard count K (node i lives in shard i%%K)")
     partition.add_argument("--workers", type=int, default=0,
-                           help="forked worker processes (0: in-process)")
+                           help="forked worker processes: 0 runs "
+                                "in-process; otherwise it must equal "
+                                "--shards")
     partition.add_argument("--epoch", type=float, default=0.005,
                            help="lockstep window width in virtual seconds "
                                 "(also the message-latency floor)")

@@ -30,15 +30,15 @@ that makes this sound *and* K-invariant:
   cuts, degraded-link drops.
 
 Messages are never scheduled directly: ``send`` appends to an outbox that
-the lockstep coordinator drains at the next barrier (:meth:`ShardFabric.
-collect`) and re-injects, canonically sorted, into the destination shard
-(:meth:`ShardFabric.inject`).
+the sending shard drains at the next barrier (:meth:`ShardFabric.collect`)
+and routes to the destination shard, which injects them canonically
+sorted (:meth:`ShardFabric.inject`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from .network import LatencyModel, Message, Network
 from .rng import derive_seed
@@ -149,7 +149,7 @@ class ShardFabric(Network):
         self._outbox = []
         return flights
 
-    def inject(self, flights: List[Flight]) -> None:
+    def inject(self, flights: Iterable[Flight]) -> None:
         """Schedule arrivals at the current barrier, canonically ordered.
 
         Must be called with ``sim.now`` exactly at the barrier.  The sort

@@ -5,8 +5,9 @@ so a change that shifts every run the same way would still pass them.
 These cases compare against digests recorded in
 ``tests/fixtures/golden_digests.json``: small partitioned runs (steady,
 decommission, join, a chaos schedule and a crash conviction, at K=1 and
-K=3) and classic scenario-driver runs (decommission and failover with
-client traffic, scale-out with and without a fault schedule).
+K=3, the K=3 ones also through forked workers) and classic
+scenario-driver runs (decommission and failover with client traffic,
+scale-out with and without a fault schedule).
 """
 
 import json
@@ -64,11 +65,16 @@ PARTITIONED = {
 }
 
 
-@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("shards,workers", [
+    pytest.param(1, 0, id="1"),
+    pytest.param(3, 0, id="3"),
+    pytest.param(3, 3, id="3-workers=3"),
+])
 @pytest.mark.parametrize("name", sorted(PARTITIONED))
-def test_partitioned_digest(name, shards):
-    spec = PartitionSpec(**{**dict(nodes=16, shards=shards, epoch=0.05,
-                                   until=8.0, seed=11),
+def test_partitioned_digest(name, shards, workers):
+    """In-process and forked runs both reproduce the recorded digest."""
+    spec = PartitionSpec(**{**dict(nodes=16, shards=shards, workers=workers,
+                                   epoch=0.05, until=8.0, seed=11),
                             **PARTITIONED[name]})
     assert (run_partitioned(spec).digest()
             == GOLDEN[f"partitioned/{name}/K={shards}"])

@@ -2,12 +2,13 @@
 
 The contract of :mod:`repro.cassandra.partition` is that sharding is pure
 mechanism: the same :class:`PartitionSpec` run with any shard count K --
-including the K=1 serial baseline -- and with any worker-process count
-produces a byte-identical canonical :class:`RunReport` (flap ordering,
-float sums, and the total kernel step count included).  These tests pin
-that property across scenarios (steady gossip, decommission, mid-run
-joiners), chaos schedules (crash/restart, partition/heal, degraded
-links), both state backends, and the in-process vs forked-worker paths.
+including the K=1 serial baseline -- in-process or with one forked worker
+per shard produces a byte-identical canonical :class:`RunReport` (flap
+ordering, float sums, and the total kernel step count included).  These
+tests pin that property across scenarios (steady gossip, decommission,
+mid-run joiners), chaos schedules (crash/restart, partition/heal,
+degraded links), both state backends, and the in-process vs
+forked-worker paths.
 """
 
 import multiprocessing
@@ -126,14 +127,22 @@ def test_observe_from_filters_headline_flaps():
     assert late.flaps < full.flaps
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the broken advance reaches workers by fork")
-def test_failing_worker_names_shard_and_cause(monkeypatch):
-    """A worker's exception comes back named, and the run stops at once."""
+forks = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched Shard.advance reaches workers by fork")
+
+
+@forks
+@pytest.mark.parametrize("failing", [1, 0])
+def test_failing_worker_names_shard_and_cause(monkeypatch, failing):
+    """A worker's exception comes back named, and the run stops at once.
+
+    Shard 0 is gathered first, while its peers are still computing.
+    """
     advance = partition.Shard.advance
 
     def broken(shard, inbound, next_barrier):
-        if shard.index == 1 and next_barrier > 0.5:
+        if shard.index == failing and next_barrier > 0.5:
             raise RuntimeError("disk on fire")
         return advance(shard, inbound, next_barrier)
 
@@ -141,11 +150,38 @@ def test_failing_worker_names_shard_and_cause(monkeypatch):
     spec = PartitionSpec(nodes=12, shards=3, workers=3, epoch=0.05,
                          until=2.0, seed=7)
     started = time.perf_counter()
-    with pytest.raises(partition.ShardError,
-                       match=r"shard 1 failed: RuntimeError: disk on fire"):
+    with pytest.raises(
+            partition.ShardError,
+            match=rf"shard {failing} failed: RuntimeError: disk on fire"):
         run_partitioned(spec)
     assert time.perf_counter() - started < 10.0
     assert not multiprocessing.active_children()
+
+
+@forks
+def test_forked_shards_advance_at_the_same_time(monkeypatch):
+    """Each barrier starts every worker before waiting for any of them.
+
+    Every advance sleeps first, so a barrier loop that waited for one
+    shard before starting the next would take the serial sum.  Sleeping
+    needs no free core, so this holds on a single-core host too.
+    """
+    nap = 0.1
+    advance = partition.Shard.advance
+
+    def slow(shard, inbound, next_barrier):
+        time.sleep(nap)
+        return advance(shard, inbound, next_barrier)
+
+    monkeypatch.setattr(partition.Shard, "advance", slow)
+    spec = PartitionSpec(nodes=4, shards=2, workers=2, epoch=0.05,
+                         until=0.3, seed=7)
+    barriers = len(partition._barriers(spec))
+    assert barriers == 6
+    started = time.perf_counter()
+    run_partitioned(spec)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.75 * spec.shards * barriers * nap
 
 
 # -- construction invariants ---------------------------------------------------
@@ -170,6 +206,8 @@ def test_spec_validation():
         PartitionSpec(nodes=4, epoch=0.0)
     with pytest.raises(ValueError):
         PartitionSpec(nodes=4, scenario="meteor")
+    with pytest.raises(ValueError, match=r"workers=2, shards=4"):
+        PartitionSpec(nodes=4, shards=4, workers=2)
 
 
 def test_unknown_chaos_kind_rejected():
