@@ -55,12 +55,9 @@ from .core import (
     find_offending,
     pil_wrap,
 )
+from .sweep import SweepPoint, SweepSpec, SweepSummary, run_sweep
 
 __version__ = "1.0.0"
-
-# The sweep engine bakes __version__ into its cache keys, so it must be
-# imported after the assignment above.
-from .sweep import SweepPoint, SweepSpec, SweepSummary, run_sweep  # noqa: E402
 
 __all__ = [
     "AnnotationRegistry",

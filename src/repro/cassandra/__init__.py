@@ -8,11 +8,7 @@ and the historical pending-range calculation code paths of CASSANDRA-3831,
 
 from .bugs import BugConfig, LockMode, Workload, all_bugs, get_bug
 from .cluster import Cluster, ClusterConfig, MachineSpec, Mode, node_name
-from .failure_detector import (
-    ArrivalWindow,
-    DEFAULT_PHI_THRESHOLD,
-    PhiAccrualFailureDetector,
-)
+from .failure_detector import ColumnarFailureDetector, DEFAULT_PHI_THRESHOLD
 from .gossip import GossipConfig, Gossiper
 from .legacy_calc import calculate_pending_ranges_legacy
 from .metrics import CalcRecord, FlapCounter, FlapEvent, RunReport, accuracy_error
@@ -56,9 +52,8 @@ from .state import (
     STATUS_LEFT,
     STATUS_NORMAL,
     TOKENS,
-    EndpointState,
+    EndpointStateView,
     GossipDigest,
-    HeartBeatState,
     VersionedValue,
 )
 from .tokens import Ring, TokenRange, token_for_key, tokens_for_node
@@ -73,7 +68,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "ArrivalWindow",
     "BugConfig",
     "CalcExecutor",
     "CalcRecord",
@@ -88,23 +82,22 @@ __all__ = [
     "StorageService",
     "UnavailableError",
     "ClusterConfig",
+    "ColumnarFailureDetector",
     "CostConstants",
     "DEFAULT_COSTS",
     "DEFAULT_PHI_THRESHOLD",
     "DirectExecutor",
-    "EndpointState",
+    "EndpointStateView",
     "FlapCounter",
     "FlapEvent",
     "GossipConfig",
     "GossipDigest",
     "Gossiper",
-    "HeartBeatState",
     "LockMode",
     "MachineSpec",
     "Mode",
     "Node",
     "NodeCosts",
-    "PhiAccrualFailureDetector",
     "Ring",
     "RunReport",
     "STATUS",

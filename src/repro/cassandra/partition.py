@@ -87,7 +87,6 @@ class PartitionSpec:
     until: float = 8.0
     seed: int = 42
     bug: str = "c3831"
-    state_backend: str = "columnar"
     #: Worker processes: 0 runs every shard in-process (interleaved),
     #: otherwise one forked worker per shard.
     workers: int = 0
@@ -128,7 +127,6 @@ class PartitionSpec:
         """The configuration every shard's cluster is built from."""
         return ClusterConfig.for_bug(
             self.bug, nodes=self.nodes, mode=Mode.REAL, seed=self.seed,
-            state_backend=self.state_backend,
             latency=LatencyModel(self.latency_base, self.latency_jitter))
 
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .. import __version__
 from ..bench import calibrate
 from ..hdfs.scalecheck import HdfsScaleCheck
-from ..sweep.cache import SweepCache, canonical_json, sha256_hex
+from ..sweep.cache import SweepCache, canonical_json, code_digest, sha256_hex
 from ..sweep.executor import run_sweep
 from ..sweep.spec import SweepSpec
 from .candidates import find_candidates
@@ -115,7 +114,7 @@ def _run_hdfs_ladder(config: HuntConfig) -> Dict[str, Dict[int, Dict[str, Any]]]
                 "seed": config.hdfs_seed,
                 "observe": config.hdfs_observe,
             },
-            "version": __version__,
+            "code": code_digest(),
         }))
         if cache is not None:
             payload = cache.get(key)

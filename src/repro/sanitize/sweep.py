@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .. import __version__
 from ..analysis.findings import sort_findings
 from ..analysis.interproc import Program
 from ..analysis.shared import (
@@ -31,7 +30,7 @@ from ..analysis.shared import (
     harvest_shared_state,
 )
 from ..core.curves import fit_metric_curve
-from ..sweep.cache import SweepCache, canonical_json, sha256_hex
+from ..sweep.cache import SweepCache, canonical_json, code_digest, sha256_hex
 from .instrument import instrument_cluster
 from .report import SanitizeReport
 from .selfcheck import self_check
@@ -116,7 +115,7 @@ def run_sanitize(config: Optional[SanitizeConfig] = None) -> SanitizeReport:
                 "scenario": "fast-membership-v1",
                 "sites": sorted(f"{s.cls}.{s.attr}" for s in sites),
             },
-            "version": __version__,
+            "code": code_digest(),
         }))
         payload = cache.get(key) if cache is not None else None
         if payload is None:

@@ -14,7 +14,13 @@ The ``repro sweep`` CLI subcommand is a thin front-end over
 :func:`run_sweep`.
 """
 
-from .cache import CACHE_SCHEMA, SweepCache, memo_identity_key, result_key
+from .cache import (
+    CACHE_SCHEMA,
+    SweepCache,
+    code_digest,
+    memo_identity_key,
+    result_key,
+)
 from .executor import PointResult, SweepSummary, run_sweep
 from .spec import MODES, SPEC_FORMAT, SweepPoint, SweepSpec
 
@@ -27,6 +33,7 @@ __all__ = [
     "SweepPoint",
     "SweepSpec",
     "SweepSummary",
+    "code_digest",
     "memo_identity_key",
     "result_key",
     "run_sweep",

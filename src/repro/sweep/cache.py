@@ -8,15 +8,20 @@ Two stores live under one cache directory:
   content digest so the parent process can form replay cache keys without
   parsing the (potentially large) database;
 * ``results/`` -- completed grid-point results, keyed by a SHA-256 over
-  (spec point, scenario params, cost constants, memo-DB digest, repro
-  version).  Anything that could change the run's outcome is in the key,
+  (spec point, scenario params, cost constants, memo-DB digest, code
+  digest).  Anything that could change the run's outcome is in the key,
   so a hit is safe to trust byte-for-byte and a re-sweep after *any*
-  relevant change (new code version, different recording, different fault
+  relevant change (edited source, different recording, different fault
   schedule) recomputes exactly the affected points.
+
+Both keys embed :func:`code_digest` -- a hash of the ``repro`` source
+tree -- so a cache directory restored from a run of older code only ever
+misses.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -37,6 +42,23 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 over the sorted paths and contents of ``repro/**/*.py``.
+
+    Computed once per process.  Every cache key embeds it, so results and
+    recordings made by different code are never served.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write-then-rename so concurrent readers never see a torn file."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -50,6 +72,7 @@ def memo_identity_key(identity: Dict[str, Any], params: Dict[str, Any],
                       machine: Optional[Dict[str, Any]] = None) -> str:
     """Identity hash of one basic-colocation recording (not its content)."""
     return sha256_hex(canonical_json({
+        "code": code_digest(),
         "identity": identity,
         "params": params,
         "constants": constants,
@@ -59,7 +82,6 @@ def memo_identity_key(identity: Dict[str, Any], params: Dict[str, Any],
 
 def result_key(point: Dict[str, Any], params: Dict[str, Any],
                constants: Dict[str, Any], memo_digest: str,
-               version: str,
                machine: Optional[Dict[str, Any]] = None) -> str:
     """Content-addressed key of one grid-point result.
 
@@ -70,7 +92,7 @@ def result_key(point: Dict[str, Any], params: Dict[str, Any],
     """
     return sha256_hex(canonical_json({
         "schema": CACHE_SCHEMA,
-        "version": version,
+        "code": code_digest(),
         "point": point,
         "params": params,
         "constants": constants,

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .. import __version__
 from ..bench import calibrate
 from ..cassandra.cluster import MachineSpec, node_name
 from ..cassandra.pending_ranges import CostConstants
@@ -303,7 +302,7 @@ def run_sweep(
     def key_for(point: SweepPoint, memo_digest: str = "") -> str:
         return result_key(point.to_dict(), params_dict,
                           constants_dict(point.bug_id), memo_digest,
-                          __version__, machine_dict)
+                          machine_dict)
 
     def identity_for(point: SweepPoint) -> str:
         return memo_identity_key(point.memo_identity(), params_dict,

@@ -56,11 +56,7 @@ class Bus:
 
     def exchange(self, a, b):
         """One full gossip exchange initiated by a towards b."""
-        self.gossipers[a]._send(b, SYN, None)  # placeholder, replaced below
-        self.queue.pop()  # drop placeholder
-        digests = __import__(
-            "repro.cassandra.state", fromlist=["make_digests"]
-        ).make_digests(self.gossipers[a].endpoint_state_map)
+        digests = self.gossipers[a]._build_digests()
         self.gossipers[b].handle_message(SYN, digests, a)
         self.pump()
 
@@ -119,6 +115,7 @@ def test_left_status_removes_from_liveness_tracking():
     bus.exchange("a", "b")
     assert "a" not in b.live_endpoints
     assert "a" not in b.unreachable_endpoints
+    assert "a" not in b.fd.known_endpoints()
 
 
 def test_restart_with_higher_generation_replaces_state():
@@ -156,11 +153,13 @@ def test_conviction_and_recovery_counts_flap():
     assert convicted == ["a"]
     assert bus.flaps.total == 1
     assert "a" in b.unreachable_endpoints
+    assert b.endpoint_state_map["a"].alive is False
     # A newer heartbeat marks it alive again (recovery).
     a.do_round()
     bus.queue.clear()
     bus.exchange("a", "b")
     assert "a" in b.live_endpoints
+    assert b.endpoint_state_map["a"].alive is True
     assert bus.flaps.recoveries == 1
 
 

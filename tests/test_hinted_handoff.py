@@ -95,14 +95,25 @@ class TestHintStorage:
         cluster.run(until=5.0)
         coord, others = write_replicas(cluster, "key-h4")
         victim = others[0]
-        coord.gossiper.live_endpoints.discard(victim)
-        from repro.cassandra.state import STATUS, STATUS_LEFT, VersionedValue
+        from repro.cassandra.state import STATUS, STATUS_LEFT
+        # The coordinator learns through gossip that the victim left.
         state = coord.gossiper.endpoint_state_map[victim]
-        state.app_states[STATUS] = VersionedValue(STATUS_LEFT,
-                                                  state.max_version() + 1)
+        generation, version, __ = state.to_blob()
+        coord.gossiper.populate(victim, (
+            generation, version,
+            ((STATUS, STATUS_LEFT, state.max_version() + 1, None),)))
+        assert coord.gossiper.endpoint_state_map[victim].status() == STATUS_LEFT
+
+        def hint_left_victim():
+            yield from coord.storage._store_hints([victim], "key-h4", "v1",
+                                                  cluster.sim.now)
+
+        cluster.sim.spawn(hint_left_victim(), name="hint-left")
+        cluster.run(until=cluster.sim.now + 1.0)
         run_op(cluster, coord.storage.coordinate_write(
             "key-h4", "v1", ConsistencyLevel.QUORUM))
         assert victim not in coord.storage.hints
+        assert coord.storage.hints_stored == 0
 
     def test_per_endpoint_cap_drops_overflow(self):
         cluster = storage_cluster()

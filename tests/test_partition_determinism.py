@@ -7,8 +7,7 @@ per shard produces a byte-identical canonical :class:`RunReport` (flap
 ordering, float sums, and the total kernel step count included).  These
 tests pin that property across scenarios (steady gossip, decommission,
 mid-run joiners), chaos schedules (crash/restart, partition/heal,
-degraded links), both state backends, and the in-process vs
-forked-worker paths.
+degraded links), and the in-process vs forked-worker paths.
 """
 
 import multiprocessing
@@ -99,7 +98,7 @@ def test_crash_conviction_flaps_match_serial():
             == serial.canonical_json())
 
 
-# -- execution modes and backends ---------------------------------------------
+# -- execution modes ----------------------------------------------------------
 
 
 def test_worker_processes_match_in_process():
@@ -108,13 +107,6 @@ def test_worker_processes_match_in_process():
                 scenario="decommission", op_time=1.0)
     assert (_canonical(PartitionSpec(workers=4, **base))
             == _canonical(PartitionSpec(workers=0, **base)))
-
-
-def test_state_backends_match_under_partitioning():
-    """dict and columnar backends stay byte-identical when sharded."""
-    base = dict(nodes=12, shards=3, epoch=0.05, until=4.0, seed=7)
-    assert (_canonical(PartitionSpec(state_backend="dict", **base))
-            == _canonical(PartitionSpec(state_backend="columnar", **base)))
 
 
 def test_observe_from_filters_headline_flaps():

@@ -7,6 +7,7 @@ in ``test_perf_regression.py`` behind the ``perf`` marker.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from repro.perf import (
     run_benchmark,
 )
 from repro.perf.bench import run_timed
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def result(name="gossip_n256", rate=10_000.0, calibration=0.05,
@@ -124,6 +127,16 @@ class TestCompare:
     def test_different_benchmarks_refuse_comparison(self):
         with pytest.raises(ValueError, match="different benchmarks"):
             compare(result(name="a"), result(name="b"))
+
+    @pytest.mark.parametrize("name", DEFAULT_BASELINE_NAMES)
+    def test_descriptors_match_committed_baselines(self, name):
+        """Every committed baseline stays comparable: the full-mode
+        descriptor a run would carry equals the recorded one."""
+        baseline = load_baseline(ROOT, name)
+        if baseline is None:
+            pytest.skip(f"no committed baseline for {name}")
+        __, workload = BENCHMARKS[name](False)
+        assert dict(workload, quick=False) == baseline.workload
 
 
 class TestRunTimed:

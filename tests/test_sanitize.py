@@ -153,7 +153,7 @@ class TestStaticPass:
                                 "repro.workload"])
         findings = check_shared_state(program)
         details = {f.detail for f in findings}
-        assert "Gossiper.endpoint_state_map" in details
+        assert "Gossiper._store" in details
         assert "TokenMetadata.pending_ranges" in details
         assert len(findings) >= 10
 

@@ -1,26 +1,37 @@
-"""Differential determinism: columnar state backend vs the dict backend.
+"""Golden check: the gossip state matches the retired dict backend.
 
-The columnar backend replaces per-(observer, endpoint) ``EndpointState``
-objects with struct-of-arrays columns plus cluster-shared interned app
-states and digests.  The representation must be *unobservable*: the same
-scenario on either backend must produce byte-identical canonical
-``RunReport`` JSON (flap ordering included), identical simulator step
-counts, and identical delivery logs, for seeds 0..9 at N in {8, 32, 64}
--- mirroring ``tests/test_scheduler_differential.py`` exactly.
+Gossip state once had two interchangeable representations: one
+``EndpointState`` object per (observer, endpoint) pair, and the columnar
+store that remains.  Before the object representation was deleted, its
+output was recorded into ``tests/fixtures/gossip_state_golden.json`` (and
+the columnar store reproduced all of it):
 
-The second half parametrizes the gossip- and failure-detector-level unit
-behaviour over both backends, pinning the protocol surface (SYN/ACK/ACK2
-convergence, restart generations, LEFT handling, conviction/recovery
-flaps) rather than just the end-to-end aggregate.
+* ``scenarios`` -- c3831 under ``FAST`` params for seeds 0..9 at N in
+  {8, 32, 64}: the canonical ``RunReport`` digest, the simulator's step
+  count and a SHA-256 of the network delivery log;
+* ``failure_detector`` -- a scripted arrival sequence at window sizes 1, 5
+  and 1000: every mean, phi and max-phi as ``float.hex()``, the conviction
+  decisions, stats, ``phis`` and forget/re-bootstrap behaviour;
+* ``wire`` -- the blobs, delta blob, digest list, known endpoints and
+  stats of a two-node exchange.
+
+The protocol cases further down (SYN/ACK/ACK2 convergence, restart
+generations, LEFT handling, conviction/recovery flaps) run every gossiper
+of a test on one cluster-shared state table, as a real cluster does;
+``tests/test_gossip.py`` runs the same surface with one table per
+gossiper.  Their ``[columnar]`` id names the representation they pinned
+while the dict backend still existed.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cassandra.cluster import Cluster, ClusterConfig, Mode
+from repro.cassandra.failure_detector import ColumnarFailureDetector
 from repro.cassandra.gossip import SYN, GossipConfig, Gossiper
-from repro.cassandra.gossip_columnar import ColumnarGossiper
 from repro.cassandra.metrics import FlapCounter
 from repro.cassandra.state import (
     STATUS,
@@ -28,12 +39,14 @@ from repro.cassandra.state import (
     STATUS_LEFT,
     STATUS_NORMAL,
     TOKENS,
+    SharedClusterState,
 )
-from repro.cassandra.state_columnar import SharedClusterState
 from repro.cassandra.workloads import ScenarioParams, run_workload
 from repro.sim.rng import SplittableRng
 
-BACKENDS = ["dict", "columnar"]
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "gossip_state_golden.json")
+    .read_text())
 
 #: Short scenario: long enough for decommission + conviction traffic,
 #: short enough that the 10-seed x 3-scale sweep stays in tier-1.
@@ -41,49 +54,36 @@ FAST = ScenarioParams(warmup=2.0, observe=5.0, leaving_duration=2.0,
                       join_duration=2.0, join_stagger=0.5)
 
 
-def _run(nodes: int, seed: int, state_backend: str):
-    config = ClusterConfig.for_bug("c3831", nodes=nodes, mode=Mode.REAL,
-                                   seed=seed, state_backend=state_backend)
-    cluster = Cluster(config)
-    report = run_workload(cluster, config.bug.workload, FAST)
-    return cluster, report
-
-
-def _canonical(report) -> str:
-    data = report.to_dict()
-    # Host wall time is the one legitimately nondeterministic field.
-    data.pop("wall_seconds", None)
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("nodes", [8, 32, 64])
 @pytest.mark.parametrize("seed", range(10))
 def test_backends_byte_identical(nodes, seed):
-    """Seeds 0..9, N in {8,32,64}: canonical RunReport JSON matches exactly."""
-    dict_cluster, dict_report = _run(nodes, seed, "dict")
-    col_cluster, col_report = _run(nodes, seed, "columnar")
-    assert _canonical(dict_report) == _canonical(col_report)
-    assert dict_cluster.sim.steps == col_cluster.sim.steps
-    assert (dict_cluster.network.delivery_log
-            == col_cluster.network.delivery_log)
+    """Seeds 0..9, N in {8,32,64}: report, steps and delivery log match
+    the dict backend's recording exactly."""
+    config = ClusterConfig.for_bug("c3831", nodes=nodes, mode=Mode.REAL,
+                                   seed=seed)
+    cluster = Cluster(config)
+    report = run_workload(cluster, config.bug.workload, FAST)
+    log = cluster.network.delivery_log
+    assert {
+        "report_sha256": report.digest(),
+        "steps": cluster.sim.steps,
+        "delivery_log_sha256": _sha256("\n".join(log)),
+        "delivery_log_len": len(log),
+    } == GOLDEN["scenarios"][f"n{nodes}-s{seed}"]
 
 
-def test_unknown_backend_rejected():
-    config = ClusterConfig.for_bug("c3831", nodes=4, mode=Mode.REAL,
-                                   state_backend="sparse")
-    with pytest.raises(ValueError):
-        Cluster(config)
-
-
-# -- protocol-level parity, both backends -----------------------------------
+# -- wire artifacts ------------------------------------------------------------
 
 
 class Bus:
-    """Synchronous loopback fabric for protocol-level tests."""
+    """Synchronous loopback fabric over one shared state table."""
 
-    def __init__(self, backend):
-        self.backend = backend
-        self.shared = SharedClusterState() if backend == "columnar" else None
+    def __init__(self):
+        self.shared = SharedClusterState()
         self.gossipers = {}
         self.queue = []
         self.clock = 0.0
@@ -93,24 +93,16 @@ class Bus:
     def now(self):
         return self.clock
 
-    def add(self, node_id, seeds=(), generation=1, config=None):
-        kwargs = dict(
-            node_id=node_id,
-            generation=generation,
-            seeds=list(seeds),
+    def add(self, node_id, seeds=(), generation=1):
+        gossiper = Gossiper(
+            node_id=node_id, generation=generation, seeds=list(seeds),
             rng=SplittableRng(1),
             send=lambda dst, kind, payload, src=node_id: self.queue.append(
                 (src, dst, kind, payload)),
-            now=self.now,
-            flaps=self.flaps,
-            config=config or GossipConfig(),
+            now=self.now, flaps=self.flaps, config=GossipConfig(),
             on_status_change=lambda ep, status, state, me=node_id:
                 self.status_changes.append((me, ep, status)),
-        )
-        if self.backend == "columnar":
-            gossiper = ColumnarGossiper(shared=self.shared, **kwargs)
-        else:
-            gossiper = Gossiper(**kwargs)
+            shared=self.shared)
         self.gossipers[node_id] = gossiper
         return gossiper
 
@@ -131,13 +123,8 @@ class Bus:
         self.pump()
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
-
-
-def make_pair(backend):
-    bus = Bus(backend)
+def make_pair():
+    bus = Bus()
     a = bus.add("a", seeds=["a"])
     b = bus.add("b", seeds=["a"])
     a.set_app_state(TOKENS, "", payload=(100,))
@@ -147,8 +134,16 @@ def make_pair(backend):
     return bus, a, b
 
 
+# -- protocol cases on one shared table ----------------------------------------
+
+
+@pytest.fixture(params=["columnar"])
+def backend(request):
+    return request.param
+
+
 def test_syn_ack_ack2_converges_two_nodes(backend):
-    bus, a, b = make_pair(backend)
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     assert "a" in b.endpoint_state_map
     assert "b" in a.endpoint_state_map
@@ -157,7 +152,7 @@ def test_syn_ack_ack2_converges_two_nodes(backend):
 
 
 def test_heartbeat_versions_propagate(backend):
-    bus, a, b = make_pair(backend)
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     version_before = b.endpoint_state_map["a"].heartbeat.version
     bus.clock = 1.0
@@ -168,7 +163,7 @@ def test_heartbeat_versions_propagate(backend):
 
 
 def test_left_status_removes_from_liveness_tracking(backend):
-    bus, a, b = make_pair(backend)
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     assert "a" in b.live_endpoints
     a.set_app_state(STATUS, STATUS_LEFT)
@@ -179,7 +174,7 @@ def test_left_status_removes_from_liveness_tracking(backend):
 
 
 def test_restart_with_higher_generation_replaces_state(backend):
-    bus, a, b = make_pair(backend)
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     old_generation = b.endpoint_state_map["a"].heartbeat.generation
     bus.gossipers.pop("a")
@@ -191,7 +186,7 @@ def test_restart_with_higher_generation_replaces_state(backend):
 
 
 def test_stale_generation_ignored(backend):
-    bus, a, b = make_pair(backend)
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     version = b.endpoint_state_map["a"].heartbeat.version
     b._apply_state("a", (0, 999, ()))
@@ -199,7 +194,7 @@ def test_stale_generation_ignored(backend):
 
 
 def test_conviction_and_recovery_counts_flap(backend):
-    bus, a, b = make_pair(backend)
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     for t in range(1, 20):
         bus.clock = float(t)
@@ -219,7 +214,7 @@ def test_conviction_and_recovery_counts_flap(backend):
 
 
 def test_status_change_callback_fires_once_per_change(backend):
-    bus, a, b = make_pair(backend)
+    bus, a, b = make_pair()
     bus.exchange("a", "b")
     changes_before = list(bus.status_changes)
     a.set_app_state(STATUS, STATUS_LEAVING)
@@ -232,7 +227,7 @@ def test_status_change_callback_fires_once_per_change(backend):
 
 
 def test_status_notification_sees_tokens_from_same_blob(backend):
-    bus = Bus(backend)
+    bus = Bus()
     a = bus.add("a", seeds=["a"])
     b = bus.add("b", seeds=["a"])
     bus.exchange("a", "b")
@@ -246,56 +241,65 @@ def test_status_notification_sees_tokens_from_same_blob(backend):
 
 
 def test_blobs_and_digests_match_across_backends():
-    """Wire artifacts -- blobs, deltas, digest lists -- are identical."""
-    pairs = {name: make_pair(name) for name in BACKENDS}
-    for bus, a, b in pairs.values():
-        bus.exchange("a", "b")
-        bus.clock = 1.0
-        a.do_round()
-        bus.pump()
-    dict_a = pairs["dict"][1]
-    col_a = pairs["columnar"][1]
-    assert dict_a.own_state.to_blob() == col_a.own_state.to_blob()
-    assert dict_a.own_state.delta_blob(1) == col_a.own_state.delta_blob(1)
-    assert dict_a.own_state.max_version() == col_a.own_state.max_version()
-    assert list(dict_a._build_digests()) == list(col_a._build_digests())
-    assert dict_a.known_endpoints() == col_a.known_endpoints()
-    assert dict_a.stats() == col_a.stats()
+    """Wire artifacts -- blobs, deltas, digest lists -- match the recording."""
+    bus, a, b = make_pair()
+    bus.exchange("a", "b")
+    bus.clock = 1.0
+    a.do_round()
+    bus.pump()
+    stats = {key: value.hex() if isinstance(value, float) else value
+             for key, value in a.stats().items()}
+    wire = json.loads(json.dumps({
+        "to_blob": a.own_state.to_blob(),
+        "delta_blob_1": a.own_state.delta_blob(1),
+        "max_version": a.own_state.max_version(),
+        "digests": [list(d) for d in a._build_digests()],
+        "known_endpoints": a.known_endpoints(),
+        "stats": stats,
+        "b_view_of_a": b.endpoint_state_map["a"].to_blob(),
+    }))
+    assert wire == GOLDEN["wire"]
+
+
+# -- failure-detector arithmetic -----------------------------------------------
+
+
+def _scripted_detector(window: int) -> dict:
+    fd = ColumnarFailureDetector(window_size=window, expected_interval=1.0)
+    times = [0.5, 1.0, 2.25, 3.0, 4.5, 5.0, 6.75, 7.0, 8.5, 9.0, 10.25]
+    steps = []
+    for t in times:
+        fd.report("p", t)
+        steps.append([t.hex(), fd.mean_interval("p").hex(),
+                      fd.phi("p", t + 3.3).hex(),
+                      fd.should_convict("p", t + 12.0),
+                      fd.should_convict("p", t + 40.0)])
+    result = {
+        "steps": steps,
+        "stats": [fd.stats.reports, fd.stats.convictions,
+                  fd.stats.max_phi_seen.hex()],
+        "phis_11": {k: v.hex() for k, v in fd.phis(11.0).items()},
+        "known": fd.known_endpoints(),
+    }
+    fd.forget("p")
+    result["known_after_forget"] = fd.known_endpoints()
+    # Re-reporting after forget re-bootstraps identically.
+    fd.report("p", 20.0)
+    result["mean_after_rereport"] = fd.mean_interval("p").hex()
+    return result
 
 
 def test_columnar_failure_detector_matches_dict_arithmetic():
-    """phi / mean / window-slide arithmetic is bit-identical."""
-    from repro.cassandra.failure_detector import PhiAccrualFailureDetector
-    from repro.cassandra.state_columnar import ColumnarFailureDetector
-
-    reference = PhiAccrualFailureDetector(window_size=5,
-                                          expected_interval=1.0)
-    columnar = ColumnarFailureDetector(SharedClusterState(),
-                                       phi_threshold=8.0, window_size=5,
-                                       expected_interval=1.0)
-    times = [0.5, 1.0, 2.25, 3.0, 4.5, 5.0, 6.75, 7.0, 8.5, 9.0, 10.25]
-    for t in times:
-        reference.report("p", t)
-        columnar.report("p", t)
-        assert columnar.mean_interval("p") == reference.mean_interval("p")
-        assert columnar.phi("p", t + 3.3) == reference.phi("p", t + 3.3)
-        assert (columnar.should_convict("p", t + 40.0)
-                == reference.should_convict("p", t + 40.0))
-    assert columnar.stats == reference.stats
-    assert columnar.phis(11.0) == reference.phis(11.0)
-    assert columnar.known_endpoints() == reference.known_endpoints()
-    reference.forget("p")
-    columnar.forget("p")
-    assert columnar.known_endpoints() == reference.known_endpoints() == []
-    # Re-reporting after forget re-bootstraps identically.
-    reference.report("p", 20.0)
-    columnar.report("p", 20.0)
-    assert columnar.mean_interval("p") == reference.mean_interval("p")
+    """phi / mean / window-slide arithmetic is bit-identical at window
+    sizes 1 (slides every arrival), 5 (slides mid-script) and 1000."""
+    for window in (1, 5, 1000):
+        assert (_scripted_detector(window)
+                == GOLDEN["failure_detector"][f"window{window}"]), window
 
 
 def test_columnar_interning_is_shared():
     """Two observers of the same app states share one interned record."""
-    bus = Bus("columnar")
+    bus = Bus()
     a = bus.add("a", seeds=["a"])
     b = bus.add("b", seeds=["a"])
     c = bus.add("c", seeds=["a"])
@@ -305,6 +309,6 @@ def test_columnar_interning_is_shared():
     bus.exchange("a", "c")
     gid = bus.shared.registry["a"]
     assert b._store.app[gid] is c._store.app[gid]
-    assert (b._store.digest_cache[gid] is None
-            or b._store.digest_cache[gid] is c.endpoint_state_map["a"]
-            .digest("a"))
+    digest_b = b._build_digests()[0]
+    assert digest_b is c._build_digests()[0]
+    assert digest_b is b._store.digest_cache[gid]

@@ -13,9 +13,12 @@ from repro.sweep import (
     SweepCache,
     SweepPoint,
     SweepSpec,
+    code_digest,
+    memo_identity_key,
     result_key,
     run_sweep,
 )
+from repro.sweep import cache as cache_module
 from repro.sweep.executor import PointResult
 
 NODES = 8
@@ -124,22 +127,48 @@ def test_summary_helpers(tmp_path):
 # -- cache keys ---------------------------------------------------------------
 
 
-def test_result_key_covers_every_input():
+def test_result_key_covers_every_input(monkeypatch):
     point = SweepPoint(bug_id="c3831", nodes=8).to_dict()
     params = {"warmup": 30.0}
     constants = {"alpha": 1.0}
-    base = result_key(point, params, constants, "digest", "1.0.0")
-    assert base == result_key(point, params, constants, "digest", "1.0.0")
+    base = result_key(point, params, constants, "digest")
+    assert base == result_key(point, params, constants, "digest")
     assert base != result_key(dict(point, nodes=9), params, constants,
-                              "digest", "1.0.0")
-    assert base != result_key(point, {"warmup": 31.0}, constants,
-                              "digest", "1.0.0")
-    assert base != result_key(point, params, {"alpha": 2.0},
-                              "digest", "1.0.0")
-    assert base != result_key(point, params, constants, "other", "1.0.0")
-    assert base != result_key(point, params, constants, "digest", "1.0.1")
-    assert base != result_key(point, params, constants, "digest", "1.0.0",
+                              "digest")
+    assert base != result_key(point, {"warmup": 31.0}, constants, "digest")
+    assert base != result_key(point, params, {"alpha": 2.0}, "digest")
+    assert base != result_key(point, params, constants, "other")
+    assert base != result_key(point, params, constants, "digest",
                               machine={"cores": 40})
+    identity = memo_identity_key({"bug": "c3831"}, params, constants)
+    monkeypatch.setattr(cache_module, "code_digest", lambda: "edited")
+    assert base != result_key(point, params, constants, "digest")
+    assert identity != memo_identity_key({"bug": "c3831"}, params, constants)
+
+
+def test_code_digest_covers_the_source_tree():
+    digest = code_digest()
+    assert len(digest) == 64 and digest == code_digest()
+    assert code_digest.cache_info().misses <= 1      # computed once
+
+
+def test_changed_code_digest_is_a_counted_miss(tmp_path, monkeypatch):
+    point = SweepPoint(bug_id="c3831", nodes=8).to_dict()
+    cache = SweepCache(tmp_path)
+    cache.put(result_key(point, {}, {}, ""), {"report": {"flaps": 3}})
+    monkeypatch.setattr(cache_module, "code_digest", lambda: "edited")
+    assert cache.get(result_key(point, {}, {}, "")) is None
+    assert cache.stats() == {"hits": 0, "misses": 1}
+
+
+def test_sweep_warmed_by_other_code_recomputes(tmp_path, monkeypatch):
+    """Every point and the recording are recomputed, to the same table."""
+    cold = run_sweep(small_spec(), cache_dir=tmp_path)
+    monkeypatch.setattr(cache_module, "code_digest", lambda: "edited")
+    rerun = run_sweep(small_spec(), cache_dir=tmp_path)
+    assert rerun.executed == 2 and rerun.cached == 0
+    assert rerun.memo_built == 1 and rerun.memo_reused == 0
+    assert rerun.table() == cold.table()
 
 
 def test_cache_miss_then_hit(tmp_path):
